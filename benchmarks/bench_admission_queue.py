@@ -4,10 +4,11 @@ Sweeps the pending-queue length Q (default Q ∈ {4, 16, 64, 256}) on a K=19
 cell system and times the forward + reverse admissible-region builders
 (eqs. (6)–(18)) in two implementations:
 
-* ``scalar`` — the per-request / per-cell oracle loop
-  (``build_scalar``, the seed implementation's semantics);
-* ``batched`` — the queue-wide array kernels (``build_batched``, the default
-  production path).
+* ``scalar`` — the per-request / per-cell oracle loop (the seed
+  implementation's semantics), kept as a test fixture in
+  ``tests/oracles/admission.py``;
+* ``batched`` — the queue-wide array kernels of ``repro.mac.measurement``
+  (the production path).
 
 Every timed queue is also checked for **bit-identical** parity
 (``np.array_equal`` on the region matrix and bounds) between the two
@@ -38,6 +39,8 @@ try:
     import repro  # noqa: F401
 except ImportError:  # pragma: no cover - script invocation without PYTHONPATH
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# The scalar oracles are test fixtures under tests/oracles.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from repro.cdma.entities import MobileStation, UserClass
 from repro.cdma.network import CdmaNetwork, NetworkSnapshot
@@ -46,6 +49,7 @@ from repro.geometry.hexgrid import HexagonalCellLayout
 from repro.geometry.mobility import RandomDirectionMobility
 from repro.mac.measurement import ForwardLinkMeasurement, ReverseLinkMeasurement
 from repro.mac.requests import BurstRequest, LinkDirection
+from tests.oracles.admission import ScalarForwardLinkMeasurement, ScalarReverseLinkMeasurement
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_admission.json"
 DEFAULT_QUEUES = (4, 16, 64, 256)
@@ -144,13 +148,13 @@ def check_parity(
     scrm_max_pilots: int,
 ) -> Dict:
     """Bit-identical comparison of the two implementations on one queue."""
-    fwd_scalar = ForwardLinkMeasurement(config.phy, config.mac, batched=False)
-    fwd_batched = ForwardLinkMeasurement(config.phy, config.mac, batched=True)
-    rev_scalar = ReverseLinkMeasurement(
-        config.phy, config.mac, scrm_max_pilots=scrm_max_pilots, batched=False
+    fwd_scalar = ScalarForwardLinkMeasurement(config.phy, config.mac)
+    fwd_batched = ForwardLinkMeasurement(config.phy, config.mac)
+    rev_scalar = ScalarReverseLinkMeasurement(
+        config.phy, config.mac, scrm_max_pilots=scrm_max_pilots
     )
     rev_batched = ReverseLinkMeasurement(
-        config.phy, config.mac, scrm_max_pilots=scrm_max_pilots, batched=True
+        config.phy, config.mac, scrm_max_pilots=scrm_max_pilots
     )
     fa = fwd_scalar.build(snapshot, fwd_requests)
     fb = fwd_batched.build(snapshot, fwd_requests)
@@ -195,15 +199,15 @@ def run_bench(
 
     builders = {
         "scalar": (
-            ForwardLinkMeasurement(config.phy, config.mac, batched=False),
-            ReverseLinkMeasurement(
-                config.phy, config.mac, scrm_max_pilots=scrm_max_pilots, batched=False
+            ScalarForwardLinkMeasurement(config.phy, config.mac),
+            ScalarReverseLinkMeasurement(
+                config.phy, config.mac, scrm_max_pilots=scrm_max_pilots
             ),
         ),
         "batched": (
-            ForwardLinkMeasurement(config.phy, config.mac, batched=True),
+            ForwardLinkMeasurement(config.phy, config.mac),
             ReverseLinkMeasurement(
-                config.phy, config.mac, scrm_max_pilots=scrm_max_pilots, batched=True
+                config.phy, config.mac, scrm_max_pilots=scrm_max_pilots
             ),
         ),
     }

@@ -58,7 +58,7 @@ class NetworkSnapshot:
         Raw power-control results (achieved SIR, power-limited flags).
     active_set_matrix / reduced_active_set_matrix:
         Boolean soft-hand-off membership matrices, shape ``(J, K)``; consumed
-        by the batched measurement kernels.  Optional: snapshots built by
+        by the measurement kernels.  Optional: snapshots built by
         hand (tests, transcribed baselines) may omit them, in which case
         :meth:`active_membership` / :meth:`reduced_membership` materialise
         them from ``handoff_states`` on first use.
@@ -292,10 +292,6 @@ class CdmaNetwork:
             )
         self._positions_arr = self._mobility_batch.positions
         self._moved_buf = np.zeros(num_mobiles)
-        #: Optional per-stage wall-time accumulator (seconds); when set to a
-        #: dict, :meth:`advance` adds its mobility kernel time under
-        #: ``"mobility"`` (used by the fleet benchmark harness).
-        self.stage_times_s: Optional[dict] = None
         #: Optional :class:`repro.utils.hooks.SimHooks` observer; when set,
         #: :meth:`advance` reports the mobility kernel as a ``"mobility"``
         #: stage (enter/exit with wall time).  Assigned by the dynamic
@@ -430,20 +426,13 @@ class CdmaNetwork:
         if dt_s < 0.0:
             raise ValueError("dt_s must be non-negative")
         hooks = self.hooks
-        if self.stage_times_s is None and hooks is None:
+        if hooks is None:
             self._mobility_batch.advance(dt_s, out_moved=self._moved_buf)
         else:
-            if hooks is not None:
-                hooks.stage_enter("mobility", self._time_s)
+            hooks.stage_enter("mobility", self._time_s)
             t0 = time.perf_counter()
             self._mobility_batch.advance(dt_s, out_moved=self._moved_buf)
-            elapsed = time.perf_counter() - t0
-            if self.stage_times_s is not None:
-                self.stage_times_s["mobility"] = (
-                    self.stage_times_s.get("mobility", 0.0) + elapsed
-                )
-            if hooks is not None:
-                hooks.stage_exit("mobility", self._time_s, elapsed)
+            hooks.stage_exit("mobility", self._time_s, time.perf_counter() - t0)
         if self.num_mobiles > 0:
             self.link_gains.advance(self._positions_arr, self._moved_buf, dt_s)
         self._time_s += dt_s

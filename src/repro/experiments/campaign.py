@@ -49,13 +49,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 import os
 import signal
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -68,7 +66,7 @@ from repro.experiments.executors import (
     SerialExecutor,
     TaskSpec,
 )
-from repro.experiments.journal import CheckpointJournal, _atomic_write
+from repro.experiments.journal import CheckpointJournal
 from repro.experiments.swarm import SwarmExecutor
 from repro.utils.hooks import SimHooks, resolve_hooks
 from repro.utils.recorder import (
@@ -760,51 +758,6 @@ class Campaign:
             )
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
-    def _load_checkpoint(self, path: str) -> Dict[str, MetricDict]:
-        if not os.path.exists(path):
-            return {}
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if not isinstance(payload, dict):
-                raise ValueError("checkpoint root is not a JSON object")
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
-            # A checkpoint truncated by a crash mid-write (or otherwise
-            # mangled) must not kill the resume: quarantine the file for
-            # post-mortem and recompute from scratch.
-            quarantine = f"{path}.corrupt"
-            os.replace(path, quarantine)
-            warnings.warn(
-                f"checkpoint {path!r} is corrupt ({exc}); moved it to "
-                f"{quarantine!r} and starting fresh",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return {}
-        if payload.get("fingerprint") != self.fingerprint():
-            raise ValueError(
-                f"checkpoint {path!r} was written by a different campaign "
-                f"(name/grid/replications/root seed changed); refusing to resume"
-            )
-        return {str(k): dict(v) for k, v in payload.get("completed", {}).items()}
-
-    def _write_checkpoint(
-        self, path: str, completed: Mapping[str, MetricDict], fingerprint: str
-    ) -> None:
-        payload = {
-            "campaign": self.name,
-            "root_seed": self.root_seed,
-            "replications": self.replications,
-            "num_points": len(self.points),
-            "fingerprint": fingerprint,
-            "completed": completed,
-        }
-        # fsync before the atomic rename: without it a power loss can
-        # publish an empty/partial file from the page cache, which the
-        # corrupt-checkpoint quarantine would then discard — losing
-        # *completed* work.
-        _atomic_write(path, json.dumps(payload))
-
     # -- execution ---------------------------------------------------------------
     def tasks(self) -> List[Tuple[int, int]]:
         """All ``(point_index, replication)`` coordinates of the campaign."""
@@ -1025,16 +978,10 @@ class Campaign:
             if progress is not None:
                 progress(done, total)
 
-        owner_pid = os.getpid()
-
         def raise_interrupt(signum, frame):  # pragma: no cover - signal path
-            # Forked workers inherit this handler; in them the signal must
-            # keep its default meaning (die quietly), not unwind the worker
-            # loop with a spurious traceback.
-            if os.getpid() != owner_pid:
-                signal.signal(signum, signal.SIG_DFL)
-                os.kill(os.getpid(), signum)
-                return
+            # Worker processes restore the default dispositions as their
+            # first act (see executors.restore_default_signals), so this
+            # only ever runs in the coordinating process.
             raise KeyboardInterrupt(f"campaign interrupted by signal {signum}")
 
         previous_handlers = {}

@@ -45,6 +45,7 @@ bit-identically to a fault-free serial run (the chaos suite locks this).
 from __future__ import annotations
 
 import random
+import signal
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -143,6 +144,22 @@ class ExecutorStats:
         return asdict(self)
 
 
+def restore_default_signals() -> None:
+    """Give a forked worker process the default SIGINT/SIGTERM dispositions.
+
+    Workers are forked inside ``Campaign.run``, after it has installed a
+    Python-level handler that turns both signals into ``KeyboardInterrupt``.
+    Such a handler only runs between bytecodes, so a worker signalled just
+    before it blocks on a lock (``Pool.terminate()`` holds the task queue's
+    read lock while it sends SIGTERM) would set the flag, never run the
+    handler and wait forever, hanging ``Pool.join()``.  With ``SIG_DFL`` the
+    kernel ends the worker directly.  Every worker entry point calls this
+    first.
+    """
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.SIG_DFL)
+
+
 class Executor:
     """Executor contract: stream :class:`TaskOutcome` for a task list.
 
@@ -236,7 +253,9 @@ class PoolExecutor(Executor):
             import multiprocessing as mp
 
             method = "fork" if "fork" in mp.get_all_start_methods() else None
-            self._pool = mp.get_context(method).Pool(processes=self.workers)
+            self._pool = mp.get_context(method).Pool(
+                processes=self.workers, initializer=restore_default_signals
+            )
         return self._pool
 
     def run(self, execute: ExecuteFn, tasks: Sequence[TaskSpec]) -> Iterator[TaskOutcome]:
@@ -282,6 +301,7 @@ def _resilient_worker(conn) -> None:
     crash (``os._exit``, signal) simply never answers, which the parent
     detects through process liveness.
     """
+    restore_default_signals()
     while True:
         try:
             message = conn.recv()

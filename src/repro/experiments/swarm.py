@@ -66,6 +66,7 @@ from repro.experiments.executors import (
     Executor,
     TaskOutcome,
     TaskSpec,
+    restore_default_signals,
     retry_backoff_delay,
 )
 from repro.experiments.faults import MessageFaultPlan
@@ -262,6 +263,20 @@ class _SwarmLease:
     last_progress: float = 0.0
 
 
+def _forked_worker_main(swarm_dir: str, worker_id: str) -> int:
+    """Entry point of a swarm worker forked by the coordinator itself.
+
+    External workers (``python -m repro.experiments.worker``) keep their own
+    signal handling; a forked one first drops the coordinator's inherited
+    handlers (see :func:`~repro.experiments.executors.restore_default_signals`).
+    """
+    # Imported lazily: worker.py imports this module at import time.
+    from repro.experiments import worker as worker_module
+
+    restore_default_signals()
+    return worker_module.worker_main(swarm_dir, worker_id)
+
+
 class SwarmExecutor(Executor):
     """Lease-based multi-process executor over a shared-directory protocol.
 
@@ -379,13 +394,10 @@ class SwarmExecutor(Executor):
 
     # -- lifecycle helpers -------------------------------------------------------
     def _spawn(self, ctx) -> _SwarmWorker:
-        # Imported lazily: worker.py imports this module at import time.
-        from repro.experiments import worker as worker_module
-
         worker_id = f"w{self._spawn_counter}"
         self._spawn_counter += 1
         process = ctx.Process(
-            target=worker_module.worker_main,
+            target=_forked_worker_main,
             args=(self._layout.root, worker_id),
             daemon=True,
         )

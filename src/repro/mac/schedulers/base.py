@@ -51,7 +51,7 @@ class BurstScheduler(abc.ABC):
     def empty_decision() -> SchedulingDecision:
         """The (trivially optimal) decision for an empty pending queue.
 
-        The batched problem assembly hands schedulers zero-column regions for
+        The admission problem assembly hands schedulers zero-column regions for
         empty queues instead of skipping the invocation, so every policy
         shares this early-out.
         """

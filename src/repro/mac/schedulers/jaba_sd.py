@@ -28,13 +28,10 @@ Solver back-ends
 ``solver="exhaustive"``
     Exact enumeration; only for tiny instances (tests).
 
-All back-ends run the vectorized solver kernels by default; ``batched=False``
-selects the scalar oracles (identical assignments, used by the parity tests
-and benchmarks).  ``warm_start=True`` additionally threads the previous
-frame's surviving assignment into the next decision as an incumbent seed —
-requests still pending keep the spreading-gain ratio they were last granted
-as the search's starting point, which tightens branch-and-bound pruning
-under heavy load.  Warm starts only ever *seed* the incumbent; infeasible
+``warm_start=True`` threads the previous frame's surviving assignment into
+the next decision as an incumbent seed — requests still pending keep the
+spreading-gain ratio they were last granted as the search's starting point,
+which tightens branch-and-bound pruning under heavy load.  Warm starts only ever *seed* the incumbent; infeasible
 seeds are dropped, so the cold path (default) stays bit-identical.
 """
 
@@ -89,9 +86,6 @@ class JabaSdScheduler(BurstScheduler):
         Branch-and-bound nodes spent polishing the near-optimal solution
         (0 disables the refinement; keeps the per-frame cost strictly
         bounded).
-    batched:
-        Run the vectorized solver kernels (default).  ``False`` selects the
-        scalar oracle paths; both produce identical assignments.
     warm_start:
         Seed each decision's incumbent with the previous frame's surviving
         assignment of the same link (opt-in; the cold path is bit-identical).
@@ -105,7 +99,6 @@ class JabaSdScheduler(BurstScheduler):
         solver: SolverName = "near-optimal",
         max_nodes: int = 200_000,
         refine_nodes: int = 0,
-        batched: bool = True,
         warm_start: bool = False,
     ) -> None:
         if isinstance(objective, str):
@@ -127,7 +120,6 @@ class JabaSdScheduler(BurstScheduler):
             raise ValueError("refine_nodes must be non-negative")
         self.max_nodes = int(max_nodes)
         self.refine_nodes = int(refine_nodes)
-        self.batched = bool(batched)
         self.warm_start = bool(warm_start)
         #: Previous frame's granted ``m`` per mobile, per link (warm starts).
         self._last_assignment: Dict[LinkDirection, Dict[int, int]] = {}
@@ -173,24 +165,23 @@ class JabaSdScheduler(BurstScheduler):
         try:
             return self._solve_with_backend(ip, warm_values)
         except SimplexIterationLimitError:
-            return solve_greedy(ip, batched=self.batched)
+            return solve_greedy(ip)
 
     def _solve_with_backend(
         self, ip: BoundedIntegerProgram, warm_values=None
     ) -> IntegerSolution:
         if self.solver == "greedy":
-            return solve_greedy(ip, batched=self.batched)
+            return solve_greedy(ip)
         if self.solver == "exhaustive":
-            return solve_exhaustive(ip, batched=self.batched)
+            return solve_exhaustive(ip)
         if self.solver == "optimal":
             return solve_branch_and_bound(
                 ip,
                 max_nodes=self.max_nodes,
-                batched=self.batched,
                 warm_start=warm_values,
             )
         # near-optimal
-        solution = solve_near_optimal(ip, batched=self.batched)
+        solution = solve_near_optimal(ip)
         if warm_values is not None:
             warm = np.asarray(warm_values, dtype=float)
             if ip.is_feasible(warm):
@@ -207,7 +198,6 @@ class JabaSdScheduler(BurstScheduler):
                 ip,
                 max_nodes=self.refine_nodes,
                 gap_tolerance=1e-3,
-                batched=self.batched,
                 warm_start=warm_values,
             )
             if refined.objective > solution.objective:

@@ -4,17 +4,14 @@ Used as ground truth in the solver tests and, at run time, for very small
 scheduling instances where enumeration is cheaper than branch-and-bound
 bookkeeping.
 
-``batched=True`` (default) enumerates the integer box in vectorized chunks:
-candidate blocks come from ``np.unravel_index`` over a flat point range (the
-same lexicographic order as ``itertools.product``), feasibility is one
-matrix product per block, and the oracle's first-strict-improver selection
-rule is replayed inside each block.  ``batched=False`` is the original
-per-point loop.
+The integer box is enumerated in vectorized chunks: candidate blocks come
+from ``np.unravel_index`` over a flat point range (the same lexicographic
+order as ``itertools.product``), feasibility is one matrix product per
+block, and a per-point loop's first-strict-improver selection rule is
+replayed inside each block.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -29,10 +26,11 @@ MAX_ENUMERATION_POINTS = 2_000_000
 _CHUNK = 65_536
 
 
-def solve_exhaustive(
-    problem: BoundedIntegerProgram, batched: bool = True
-) -> IntegerSolution:
+def solve_exhaustive(problem: BoundedIntegerProgram) -> IntegerSolution:
     """Enumerate every feasible integer point and return the best one.
+
+    ``nodes_explored`` counts the enumerated points; a zero-variable problem
+    has exactly one (the empty assignment).
 
     Raises
     ------
@@ -45,44 +43,19 @@ def solve_exhaustive(
             "search space too large for exhaustive enumeration "
             f"({problem.search_space_size():.3g} points)"
         )
-    if batched and problem.num_variables:
-        return _solve_exhaustive_batched(problem)
-    return _solve_exhaustive_scalar(problem)
-
-
-def _solve_exhaustive_scalar(problem: BoundedIntegerProgram) -> IntegerSolution:
-    """The original per-point loop (parity oracle)."""
-    ranges = [range(int(u) + 1) for u in problem.upper_bounds]
     best_values = np.zeros(problem.num_variables, dtype=int)
     best_objective = problem.objective_value(best_values)
-    explored = 0
-    for candidate in itertools.product(*ranges):
-        explored += 1
-        values = np.asarray(candidate, dtype=float)
-        if not problem.is_feasible(values):
-            continue
-        objective = problem.objective_value(values)
-        if objective > best_objective + 1e-12:
-            best_objective = objective
-            best_values = np.asarray(candidate, dtype=int)
-    return IntegerSolution(
-        values=best_values,
-        objective=best_objective,
-        optimal=True,
-        nodes_explored=explored,
-    )
+    if not problem.num_variables:
+        return IntegerSolution(
+            values=best_values, objective=best_objective, optimal=True, nodes_explored=1
+        )
 
-
-def _solve_exhaustive_batched(problem: BoundedIntegerProgram) -> IntegerSolution:
     dims = problem.upper_bounds + 1
     total = int(np.prod(dims))
     matrix_t = problem.constraint_matrix.T
-    # The oracle's feasibility threshold (is_feasible with its default
-    # tolerance), evaluated once for all constraint rows.
+    # The feasibility threshold of is_feasible with its default tolerance,
+    # evaluated once for all constraint rows.
     threshold = -1e-9 * np.maximum(1.0, problem.constraint_bounds)
-
-    best_values = np.zeros(problem.num_variables, dtype=int)
-    best_objective = problem.objective_value(best_values)
     for start in range(0, total, _CHUNK):
         flat = np.arange(start, min(start + _CHUNK, total))
         candidates = np.stack(np.unravel_index(flat, dims), axis=1).astype(float)
@@ -91,7 +64,7 @@ def _solve_exhaustive_batched(problem: BoundedIntegerProgram) -> IntegerSolution
         if not feasible.size:
             continue
         objectives = candidates[feasible] @ problem.objective
-        # Replay the oracle's strictly-improving scan in enumeration order.
+        # Replay the strictly-improving scan in enumeration order.
         position = 0
         while position < objectives.size:
             better = np.nonzero(objectives[position:] > best_objective + 1e-12)[0]

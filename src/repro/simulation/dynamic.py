@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -49,7 +48,7 @@ from repro.simulation.placement import placement_from_config
 from repro.simulation.scenario import ScenarioConfig
 from repro.traffic.data import DataTrafficFleet, PacketCallDataSource, TruncatedParetoSize
 from repro.traffic.voice import OnOffVoiceSource, VoiceFleet
-from repro.utils.hooks import CompositeHooks, SimHooks, StageTimingHooks
+from repro.utils.hooks import SimHooks
 from repro.utils.recorder import (
     EventRecorder,
     JsonlSink,
@@ -212,9 +211,7 @@ class DynamicSystemSimulator:
             mobility_fleet=self.mobility_fleet,
         )
         self.network.hooks = self.hooks
-        self.controller = BurstAdmissionController(
-            system, scheduler, batched=scenario.batched_admission
-        )
+        self.controller = BurstAdmissionController(system, scheduler)
         # Opt-in cross-frame incumbent warm starts: the scheduler keeps the
         # surviving assignment of each link between frames.  The flag is
         # always (re)assigned and the memory always cleared so a scheduler
@@ -292,14 +289,6 @@ class DynamicSystemSimulator:
         self._bursting_count = np.zeros(num_users, dtype=int)
         self._waiting_count = np.zeros(num_users, dtype=int)
         self.metrics = MetricsCollector(warmup_s=scenario.warmup_s)
-        #: Per-stage wall-time accumulator (seconds), populated by
-        #: ``run(collect_stage_times=True)`` (deprecated shim over the
-        #: hooks layer — see :class:`repro.utils.hooks.StageTimingHooks`).
-        self.stage_times_s: Optional[Dict[str, float]] = None
-        #: The hooks in effect for the current run (includes the stage-
-        #: timing shim when ``collect_stage_times=True``); dispatch target
-        #: of the admission path.
-        self._active_hooks: Optional[SimHooks] = self.hooks
 
     # -- traffic handling -----------------------------------------------------------------
     def _enqueue_request(
@@ -443,7 +432,7 @@ class DynamicSystemSimulator:
             self.mac_states[mobile_index].touch()
 
     def _run_admission(self, snapshot: NetworkSnapshot, now_s: float) -> None:
-        hooks = self._active_hooks
+        hooks = self.hooks
         for link in (LinkDirection.FORWARD, LinkDirection.REVERSE):
             pending = self.pending[link]
             if not pending:
@@ -502,9 +491,7 @@ class DynamicSystemSimulator:
         hooks.stage_exit(name, now_s, time.perf_counter() - t0)
 
     # -- main loop ----------------------------------------------------------------------------------
-    def run(
-        self, progress: Optional[int] = None, collect_stage_times: bool = False
-    ) -> SimulationResult:
+    def run(self, progress: Optional[int] = None) -> SimulationResult:
         """Run the simulation and return the summary result.
 
         Parameters
@@ -512,33 +499,12 @@ class DynamicSystemSimulator:
         progress:
             When given, a progress line is printed every ``progress`` frames
             (useful for the long experiment runs).
-        collect_stage_times:
-            Deprecated shim: installs a
-            :class:`repro.utils.hooks.StageTimingHooks` for the run and
-            copies its totals into :attr:`stage_times_s` afterwards.
-            Construct the simulator with ``hooks=StageTimingHooks()``
-            instead.  Off by default (zero overhead).
+
+        Per-stage wall times come from the hooks layer: construct the
+        simulator with ``hooks=StageTimingHooks()`` and read its ``totals``.
         """
         hooks = self.hooks
-        timing_hooks: Optional[StageTimingHooks] = None
-        if collect_stage_times:
-            warnings.warn(
-                "run(collect_stage_times=True) is deprecated; pass "
-                "hooks=StageTimingHooks() to DynamicSystemSimulator and read "
-                "hooks.totals instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            timing_hooks = StageTimingHooks()
-            hooks = (
-                timing_hooks
-                if hooks is None
-                else CompositeHooks([hooks, timing_hooks])
-            )
-        self._active_hooks = hooks
         self.network.hooks = hooks
-        self.stage_times_s = None
-        self.network.stage_times_s = None
 
         scenario = self.scenario
         frame_s = self.system.mac.frame_duration_s
@@ -612,8 +578,6 @@ class DynamicSystemSimulator:
             if hooks is not None:
                 hooks.run_end(self.network.time_s, frames=num_frames)
         finally:
-            if timing_hooks is not None:
-                self.stage_times_s = dict(timing_hooks.totals)
             if self._owned_recorder is not None:
                 # Publish the trace_path file (the atomic sink renames on
                 # close); a second run() records nothing further.

@@ -129,10 +129,6 @@ class ScenarioConfig:
     power_control_tolerance:
         Override of ``system.radio.power_control_tolerance`` for this
         scenario; ``None`` keeps the radio-config value.
-    batched_admission:
-        Build the burst-admission measurement matrices with the queue-wide
-        batched kernels (default).  ``False`` selects the scalar oracle
-        path; both are bit-identical.
     batched_fleet:
         Run the per-user simulation layer (voice on/off sources, packet-call
         traffic, MAC state machines, mobility) as structure-of-arrays fleet
@@ -168,7 +164,6 @@ class ScenarioConfig:
     warm_start_power_control: bool = False
     warm_start_solver: bool = False
     power_control_tolerance: Optional[float] = None
-    batched_admission: bool = True
     batched_fleet: bool = False
     trace_path: Optional[str] = None
 

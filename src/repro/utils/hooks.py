@@ -210,12 +210,11 @@ class CompositeHooks(SimHooks):
 
 
 class StageTimingHooks(SimHooks):
-    """Accumulate per-stage wall time — the hooks-layer replacement of the
-    legacy ``run(collect_stage_times=True)`` instrumentation.
+    """Accumulate per-stage wall time of the frame pipeline.
 
-    :attr:`totals` maps stage name to accumulated wall-clock seconds over
-    the run (the same ``{"voice", "arrivals", "data_activity", "mac",
-    "mobility"}`` keys the legacy ``stage_times_s`` dict carried).
+    :attr:`totals` maps stage name (``"voice"``, ``"arrivals"``,
+    ``"data_activity"``, ``"mac"``, ``"mobility"``) to accumulated
+    wall-clock seconds over the run.
     """
 
     def __init__(self) -> None:

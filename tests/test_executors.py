@@ -1,5 +1,6 @@
 """Resilient executor: retry/backoff, respawn, speculation, chaos determinism."""
 
+import signal
 import time
 
 import numpy as np
@@ -22,6 +23,11 @@ def _toy_runner(params, seed):
         "mean_draw": float(draws.mean()) + float(params["offset"]),
         "max_draw": float(draws.max()),
     }
+
+
+def _sigterm_is_default(params, seed):
+    """Campaign runner reporting the worker's SIGTERM disposition."""
+    return {"sigterm_default": float(signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)}
 
 
 def toy_campaign(replications=3, root_seed=123):
@@ -289,3 +295,18 @@ class TestChaosDeterminism:
         plan = FaultPlan([FaultSpec(0, 0, "exception")])
         with pytest.raises(InjectedFaultError):
             toy_campaign().run(fault_plan=plan)
+
+
+class TestWorkerSignals:
+    @pytest.mark.parametrize("executor", ["pool", "resilient", "swarm"])
+    def test_workers_restore_default_signal_dispositions(self, executor):
+        # Workers fork after Campaign.run installs its KeyboardInterrupt
+        # handler; an inherited Python-level SIGTERM handler can leave a
+        # worker blocked on a lock unkillable by Pool.terminate().
+        campaign = Campaign("signals", _sigterm_is_default, [{}], replications=4)
+        outcome = campaign.run(executor=executor, workers=2)
+        assert outcome.executor_name == executor
+        values = [
+            metrics["sigterm_default"] for metrics in outcome.points[0].replications.values()
+        ]
+        assert values == [1.0] * 4

@@ -15,7 +15,6 @@ Certifies the two sides of the observability contract:
 from __future__ import annotations
 
 import time
-import warnings
 
 import pytest
 
@@ -281,38 +280,6 @@ class TestInstalledHookCounts:
         assert start["frames"] == 2
         assert "J1" in start["scheduler"]
         assert start["batched_fleet"] is False
-
-
-# ---------------------------------------------------------------------------
-# collect_stage_times deprecation shim
-# ---------------------------------------------------------------------------
-class TestStageTimesShim:
-    def test_deprecated_flag_still_fills_stage_times(self):
-        sim = DynamicSystemSimulator(_two_frame_scenario(), JabaSdScheduler("J1"))
-        with pytest.warns(DeprecationWarning, match="StageTimingHooks"):
-            sim.run(collect_stage_times=True)
-        assert sim.stage_times_s is not None
-        assert set(sim.stage_times_s) == set(STAGES)
-        assert all(value >= 0.0 for value in sim.stage_times_s.values())
-
-    def test_timing_hooks_match_the_shim(self):
-        timing = StageTimingHooks()
-        sim = DynamicSystemSimulator(
-            _two_frame_scenario(), JabaSdScheduler("J1"), hooks=timing
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sim.run(collect_stage_times=True)
-        # The shim's totals are the explicit hooks' totals: same instrument.
-        assert sim.stage_times_s == timing.totals or set(
-            sim.stage_times_s
-        ) == set(timing.totals) == set(STAGES)
-        assert timing.frames == 2
-
-    def test_default_run_leaves_stage_times_none(self):
-        sim = DynamicSystemSimulator(_two_frame_scenario(), JabaSdScheduler("J1"))
-        sim.run()
-        assert sim.stage_times_s is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from repro.mac.admission import BurstAdmissionController
 from repro.mac.requests import BurstRequest, LinkDirection
 from repro.mac.schedulers import FcfsScheduler, JabaSdScheduler
+from tests.oracles.admission import install_scalar_admission
 from tests.test_cdma_network import build_network
 
 
@@ -58,7 +59,7 @@ class TestBuildInput:
     @pytest.mark.parametrize("link", [LinkDirection.FORWARD, LinkDirection.REVERSE])
     def test_batched_assembly_matches_scalar_oracle(self, environment, link):
         # The whole scheduling problem — region, delta_rho, upper bounds,
-        # waiting times — is bit-identical between the two paths.
+        # waiting times — is bit-identical to the scalar oracle assembly.
         _, snapshot, config = environment
         requests = [
             BurstRequest(mobile_index=j % snapshot.num_mobiles, link=link,
@@ -66,10 +67,10 @@ class TestBuildInput:
             for j in range(9)
         ]
         batched = BurstAdmissionController(
-            config, JabaSdScheduler("J1"), batched=True
+            config, JabaSdScheduler("J1")
         ).build_input(snapshot, requests, link)
-        scalar = BurstAdmissionController(
-            config, JabaSdScheduler("J1"), batched=False
+        scalar = install_scalar_admission(
+            BurstAdmissionController(config, JabaSdScheduler("J1"))
         ).build_input(snapshot, requests, link)
         assert np.array_equal(batched.region.matrix, scalar.region.matrix)
         assert np.array_equal(batched.region.bounds, scalar.region.bounds)

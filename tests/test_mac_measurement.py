@@ -13,6 +13,7 @@ from repro.mac.measurement import (
     relative_path_loss,
 )
 from repro.mac.requests import BurstRequest, LinkDirection
+from tests.oracles.admission import ScalarForwardLinkMeasurement, ScalarReverseLinkMeasurement
 from tests.test_cdma_network import build_network
 
 
@@ -180,7 +181,7 @@ class TestReverseLinkMeasurement:
 
 
 # ---------------------------------------------------------------------------
-# batched-vs-scalar parity
+# kernel-vs-scalar-oracle parity
 # ---------------------------------------------------------------------------
 def synthetic_snapshot(
     rng,
@@ -293,19 +294,17 @@ class TestBatchedScalarParity:
         fwd_requests = random_queue(rng, num_mobiles, LinkDirection.FORWARD)
         rev_requests = random_queue(rng, num_mobiles, LinkDirection.REVERSE)
 
-        fwd_scalar = ForwardLinkMeasurement(config.phy, config.mac, batched=False)
-        fwd_batched = ForwardLinkMeasurement(config.phy, config.mac, batched=True)
+        fwd_scalar = ScalarForwardLinkMeasurement(config.phy, config.mac)
+        fwd_batched = ForwardLinkMeasurement(config.phy, config.mac)
         assert_regions_identical(
             fwd_scalar.build(snapshot, fwd_requests),
             fwd_batched.build(snapshot, fwd_requests),
         )
 
-        rev_scalar = ReverseLinkMeasurement(
-            config.phy, config.mac, scrm_max_pilots=scrm, batched=False
+        rev_scalar = ScalarReverseLinkMeasurement(
+            config.phy, config.mac, scrm_max_pilots=scrm
         )
-        rev_batched = ReverseLinkMeasurement(
-            config.phy, config.mac, scrm_max_pilots=scrm, batched=True
-        )
+        rev_batched = ReverseLinkMeasurement(config.phy, config.mac, scrm_max_pilots=scrm)
         assert_regions_identical(
             rev_scalar.build(snapshot, rev_requests),
             rev_batched.build(snapshot, rev_requests),
@@ -318,41 +317,33 @@ class TestBatchedScalarParity:
             fwd = random_queue(rng, snapshot.num_mobiles, LinkDirection.FORWARD)
             rev = random_queue(rng, snapshot.num_mobiles, LinkDirection.REVERSE)
             assert_regions_identical(
-                ForwardLinkMeasurement(config.phy, config.mac, batched=False).build(
-                    snapshot, fwd
-                ),
-                ForwardLinkMeasurement(config.phy, config.mac, batched=True).build(
-                    snapshot, fwd
-                ),
+                ScalarForwardLinkMeasurement(config.phy, config.mac).build(snapshot, fwd),
+                ForwardLinkMeasurement(config.phy, config.mac).build(snapshot, fwd),
             )
             assert_regions_identical(
-                ReverseLinkMeasurement(config.phy, config.mac, batched=False).build(
-                    snapshot, rev
-                ),
-                ReverseLinkMeasurement(config.phy, config.mac, batched=True).build(
-                    snapshot, rev
-                ),
+                ScalarReverseLinkMeasurement(config.phy, config.mac).build(snapshot, rev),
+                ReverseLinkMeasurement(config.phy, config.mac).build(snapshot, rev),
             )
 
     def test_empty_queue(self, snapshot_and_config):
         snapshot, config = snapshot_and_config
-        for cls, link in (
-            (ForwardLinkMeasurement, LinkDirection.FORWARD),
-            (ReverseLinkMeasurement, LinkDirection.REVERSE),
+        for oracle, cls in (
+            (ScalarForwardLinkMeasurement, ForwardLinkMeasurement),
+            (ScalarReverseLinkMeasurement, ReverseLinkMeasurement),
         ):
-            scalar = cls(config.phy, config.mac, batched=False).build(snapshot, [])
-            batched = cls(config.phy, config.mac, batched=True).build(snapshot, [])
+            scalar = oracle(config.phy, config.mac).build(snapshot, [])
+            batched = cls(config.phy, config.mac).build(snapshot, [])
             assert batched.matrix.shape == (snapshot.num_cells, 0)
             assert_regions_identical(scalar, batched)
 
     def test_batched_rejects_wrong_link(self, snapshot_and_config):
         snapshot, config = snapshot_and_config
         with pytest.raises(ValueError):
-            ForwardLinkMeasurement(config.phy, config.mac, batched=True).build(
+            ForwardLinkMeasurement(config.phy, config.mac).build(
                 snapshot, make_requests(LinkDirection.REVERSE, [0])
             )
         with pytest.raises(ValueError):
-            ReverseLinkMeasurement(config.phy, config.mac, batched=True).build(
+            ReverseLinkMeasurement(config.phy, config.mac).build(
                 snapshot, make_requests(LinkDirection.FORWARD, [0])
             )
 
@@ -395,9 +386,8 @@ class TestZeroHostPilotRegression:
     def test_build_does_not_raise(self, shadowed_snapshot, small_config, batched):
         snapshot, host = shadowed_snapshot
         requests = make_requests(LinkDirection.REVERSE, [0])
-        region = ReverseLinkMeasurement(
-            small_config.phy, small_config.mac, batched=batched
-        ).build(snapshot, requests)
+        builder = ReverseLinkMeasurement if batched else ScalarReverseLinkMeasurement
+        region = builder(small_config.phy, small_config.mac).build(snapshot, requests)
         # Soft-hand-off cells are still constrained through the reverse
         # pilot; the projected (non-soft-hand-off) cells stay unconstrained.
         soft = set(snapshot.handoff_states[0].active_set)
@@ -411,12 +401,12 @@ class TestZeroHostPilotRegression:
         snapshot, _ = shadowed_snapshot
         requests = make_requests(LinkDirection.REVERSE, [0, 1, 2])
         assert_regions_identical(
-            ReverseLinkMeasurement(
-                small_config.phy, small_config.mac, batched=False
-            ).build(snapshot, requests),
-            ReverseLinkMeasurement(
-                small_config.phy, small_config.mac, batched=True
-            ).build(snapshot, requests),
+            ScalarReverseLinkMeasurement(small_config.phy, small_config.mac).build(
+                snapshot, requests
+            ),
+            ReverseLinkMeasurement(small_config.phy, small_config.mac).build(
+                snapshot, requests
+            ),
         )
 
     def test_relative_path_loss_still_guards(self):

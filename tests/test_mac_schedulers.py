@@ -17,7 +17,9 @@ from repro.mac.schedulers import (
     ProportionalFairScheduler,
     RoundRobinScheduler,
     TemporalExtensionScheduler,
+    jaba_sd,
 )
+from tests.oracles import solvers as oracle_solvers
 
 
 def make_problem(
@@ -185,12 +187,21 @@ class TestJabaSdBatchedAndWarmStart:
         )
 
     @pytest.mark.parametrize("solver", ["greedy", "near-optimal", "optimal", "exhaustive"])
-    def test_scalar_oracle_matches_batched_default(self, solver):
+    def test_scalar_oracle_matches_batched_default(self, solver, monkeypatch):
         upper = 2 if solver == "exhaustive" else 16
         problem = self._problem()
         problem.upper_bounds = np.full(len(problem.requests), upper, dtype=int)
         batched = JabaSdScheduler("J1", solver=solver).assign(problem)
-        scalar = JabaSdScheduler("J1", solver=solver, batched=False).assign(problem)
+        # The same scheduler with every solver back-end swapped for its
+        # scalar oracle.
+        for name in (
+            "solve_greedy",
+            "solve_near_optimal",
+            "solve_exhaustive",
+            "solve_branch_and_bound",
+        ):
+            monkeypatch.setattr(jaba_sd, name, getattr(oracle_solvers, name))
+        scalar = JabaSdScheduler("J1", solver=solver).assign(problem)
         assert np.array_equal(batched.assignment, scalar.assignment)
 
     def test_cold_default_keeps_no_memory(self):

@@ -13,6 +13,7 @@ from repro.mac import (
 )
 from repro.simulation import DynamicSystemSimulator, ScenarioConfig
 from repro.simulation.scenario import TrafficConfig
+from tests.oracles.admission import install_scalar_admission
 
 
 @pytest.fixture(scope="module")
@@ -106,14 +107,15 @@ class TestDynamicSimulator:
         assert result.offered_load_bps > expected_min
 
     def test_scalar_admission_path_matches_batched(self, fast_scenario):
-        # The batched_admission switch changes the implementation, never the
-        # decisions: full runs agree bit for bit.
+        # The queue-wide admission kernels change the implementation, never
+        # the decisions: a full run on the scalar oracle builders agrees bit
+        # for bit.
         batched = DynamicSystemSimulator(
             fast_scenario, JabaSdScheduler("J1")
         ).run()
-        scalar = DynamicSystemSimulator(
-            replace(fast_scenario, batched_admission=False), JabaSdScheduler("J1")
-        ).run()
+        simulator = DynamicSystemSimulator(fast_scenario, JabaSdScheduler("J1"))
+        install_scalar_admission(simulator.controller)
+        scalar = simulator.run()
         assert batched.completed_packet_calls == scalar.completed_packet_calls
         assert batched.mean_packet_delay_s == scalar.mean_packet_delay_s
         assert batched.carried_throughput_bps == scalar.carried_throughput_bps
